@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -57,6 +58,10 @@ struct FileMeta {
     /// Streaming CRC-64 over the file's concatenated block payloads, in
     /// append order — the digest the mmap spill path verifies against.
     crc: Crc64,
+    /// Content generation, drawn from the DFS-wide counter on create and
+    /// again on every repair, so the spill store can never serve a
+    /// mapping of an overwritten or repaired file's old bytes.
+    generation: u64,
 }
 
 /// What one scrubber pass saw and did. Replica counts are per-replica,
@@ -102,13 +107,31 @@ pub struct FileStat {
 struct Inner {
     files: BTreeMap<String, FileMeta>,
     blocks: BTreeMap<BlockId, BlockData>,
-    // Per-path content generation: bumped on create/delete so the spill
-    // store can never serve a mapping of an overwritten file's old bytes.
-    generations: BTreeMap<String, u64>,
+    /// Last content generation handed out (see `FileMeta::generation`).
+    /// Monotonic across paths, so a deleted and recreated path always
+    /// gets a larger generation and nothing per path outlives its file.
+    last_generation: u64,
     next_block: u64,
     next_writer_node: usize,
     alive: Vec<bool>,
     rng: StdRng,
+}
+
+impl Inner {
+    /// Hands out the next DFS-wide content generation.
+    fn next_generation(&mut self) -> u64 {
+        self.last_generation += 1;
+        self.last_generation
+    }
+
+    /// Gives a live file a fresh generation after its bytes were repaired
+    /// (a no-op if the file is gone).
+    fn bump_generation(&mut self, path: &str) {
+        let generation = self.next_generation();
+        if let Some(meta) = self.files.get_mut(path) {
+            meta.generation = generation;
+        }
+    }
 }
 
 /// The simulated distributed file system (namenode + datanodes).
@@ -140,7 +163,7 @@ impl Dfs {
             inner: Arc::new(Mutex::new(Inner {
                 files: BTreeMap::new(),
                 blocks: BTreeMap::new(),
-                generations: BTreeMap::new(),
+                last_generation: 0,
                 next_block: 0,
                 next_writer_node: 0,
                 alive,
@@ -204,8 +227,14 @@ impl Dfs {
         if inner.files.contains_key(path) {
             return Err(DfsError::AlreadyExists(path.to_string()));
         }
-        inner.files.insert(path.to_string(), FileMeta::default());
-        *inner.generations.entry(path.to_string()).or_insert(0) += 1;
+        let generation = inner.next_generation();
+        inner.files.insert(
+            path.to_string(),
+            FileMeta {
+                generation,
+                ..FileMeta::default()
+            },
+        );
         // Round-robin "writing node" stands in for the client location.
         let node = inner.next_writer_node % self.config.num_nodes;
         inner.next_writer_node += 1;
@@ -224,7 +253,6 @@ impl Dfs {
             for b in meta.blocks {
                 inner.blocks.remove(&b);
             }
-            *inner.generations.entry(path.to_string()).or_insert(0) += 1;
         }
         drop(inner);
         self.cache.invalidate(path);
@@ -250,13 +278,15 @@ impl Dfs {
         })
     }
 
-    /// Paths with the given prefix, sorted (namespace listing).
+    /// Paths with the given prefix, sorted (namespace listing). Walks
+    /// only the matching key range, not the whole namespace.
     pub fn list(&self, prefix: &str) -> Vec<String> {
         self.inner
             .lock()
             .files
-            .keys()
-            .filter(|k| k.starts_with(prefix))
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(k, _)| k)
+            .take_while(|k| k.starts_with(prefix))
             .cloned()
             .collect()
     }
@@ -352,7 +382,7 @@ impl Dfs {
         // A mapped spill or cached parse of the corrupt bytes must never
         // be served after the repair: bump the path's generation and drop
         // both caches through the epoch protocol.
-        *inner.generations.entry(path.clone()).or_insert(0) += 1;
+        inner.bump_generation(&path);
         drop(inner);
         for _ in 0..created {
             // Each restored replica copies the block across the network.
@@ -404,16 +434,16 @@ impl Dfs {
         Ok(out)
     }
 
-    /// Current content generation of `path` (0 if never created). Bumped
-    /// by `create` and `delete`; constant across node kills and
-    /// re-replication, which move replicas but never change bytes.
+    /// Current content generation of `path` (0 if it does not exist).
+    /// Drawn afresh by `create` and by read-repair/scrub repair; constant
+    /// across node kills and re-replication, which move replicas but
+    /// never change bytes.
     pub fn file_generation(&self, path: &str) -> u64 {
         self.inner
             .lock()
-            .generations
+            .files
             .get(path)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |meta| meta.generation)
     }
 
     /// Zero-copy view of a file's bytes: spills `data` (the file's
@@ -431,8 +461,8 @@ impl Dfs {
         }
         let (generation, expected_crc) = {
             let inner = self.inner.lock();
-            let crc = inner.files.get(path)?.crc.finish();
-            (inner.generations.get(path).copied().unwrap_or(0), crc)
+            let meta = inner.files.get(path)?;
+            (meta.generation, meta.crc.finish())
         };
         match self.spill.map_path(path, generation, data, expected_crc) {
             Ok(map) => Some(map),
@@ -691,9 +721,7 @@ impl Dfs {
             if healed {
                 // Same epoch protocol as read-repair: no cached parse or
                 // mapped spill of the pre-repair bytes may survive.
-                let mut inner = self.inner.lock();
-                *inner.generations.entry(path.clone()).or_insert(0) += 1;
-                drop(inner);
+                self.inner.lock().bump_generation(&path);
                 self.cache.invalidate(&path);
                 self.spill.remove(&path);
             }
@@ -1021,6 +1049,46 @@ mod tests {
         fs.write_string("/y/c", "3\n").unwrap();
         assert_eq!(fs.list("/x/"), vec!["/x/a".to_string(), "/x/b".to_string()]);
         assert_eq!(fs.list("/"), vec!["/x/a", "/x/b", "/y/c"]);
+        // "/x/" must not match its neighbours "/x" (sorts before every
+        // "/x/..." key) and "/x0" (sorts after them).
+        fs.write_string("/x0", "4\n").unwrap();
+        fs.write_string("/x", "5\n").unwrap();
+        assert_eq!(fs.list("/x/"), vec!["/x/a", "/x/b"]);
+        assert_eq!(fs.list("/x"), vec!["/x", "/x/a", "/x/b", "/x0"]);
+        assert!(fs.list("/z").is_empty());
+        // The empty prefix lists everything, sorted.
+        assert_eq!(fs.list(""), vec!["/x", "/x/a", "/x/b", "/x0", "/y/c"]);
+    }
+
+    #[test]
+    fn create_delete_cycles_leave_no_per_path_state() {
+        let fs = dfs();
+        let mut last = 0;
+        for i in 0..10_000 {
+            let path = format!("/churn/{i}");
+            fs.write_string(&path, "x\n").unwrap();
+            let generation = fs.file_generation(&path);
+            assert!(generation > last, "generations only grow");
+            last = generation;
+            fs.delete(&path);
+            assert_eq!(fs.file_generation(&path), 0, "deleted files have none");
+        }
+        {
+            let inner = fs.inner.lock();
+            assert!(inner.files.is_empty(), "{} files left", inner.files.len());
+            assert!(
+                inner.blocks.is_empty(),
+                "{} blocks left",
+                inner.blocks.len()
+            );
+        }
+        // Delete + recreate under one path: strictly larger generation.
+        fs.write_string("/f", "1\n").unwrap();
+        let first = fs.file_generation("/f");
+        fs.delete("/f");
+        fs.write_string("/f", "1\n").unwrap();
+        assert!(fs.file_generation("/f") > first);
+        assert!(first > last);
     }
 
     #[test]

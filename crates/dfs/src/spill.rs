@@ -10,11 +10,11 @@
 //!
 //! Correctness protocol:
 //!
-//! * Spill files are **immutable per generation**. The namespace bumps a
-//!   per-path generation counter on every `create`/`delete`, so an
-//!   overwrite under the same path can never be served from a stale
-//!   mapping — the key no longer matches and a fresh spill file (with a
-//!   fresh name) is written. The old file is unlinked immediately;
+//! * Spill files are **immutable per generation**. Every `create` (and
+//!   every repair) gives the file a fresh generation from one DFS-wide
+//!   monotonic counter, so an overwrite under the same path can never be
+//!   served from a stale mapping — the key no longer matches and a fresh
+//!   spill file (with a fresh name) is written. The old file is unlinked immediately;
 //!   existing mappings keep their pages per POSIX semantics.
 //! * Node kills and re-replication change *placement*, not *content*, so
 //!   they do not invalidate spills. Availability is still enforced because

@@ -245,19 +245,25 @@ impl<'a, T: Send> WaveRunner<'a, T> {
 
     /// Runs the wave on `threads` workers; returns results in task order
     /// plus the wave's fault-tolerance tallies and task-duration
-    /// histogram (winning attempts only).
+    /// histogram (winning attempts only). A single-worker wave runs on
+    /// the calling thread: attempts still execute under `catch_unwind`
+    /// and a slot lease, without the cost of spawning one thread.
     fn run<F>(self, threads: usize, run_task: F) -> Result<(Vec<T>, FtStats, Histogram), JobError>
     where
         F: Fn(usize, usize) -> Result<T, JobError> + Sync,
     {
         let run_task = &run_task;
         let me = &self;
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(move |_| me.worker(run_task));
-            }
-        })
-        .expect("wave worker thread infrastructure failed");
+        if threads <= 1 {
+            me.worker(run_task);
+        } else {
+            crossbeam::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(move |_| me.worker(run_task));
+                }
+            })
+            .expect("wave worker thread infrastructure failed");
+        }
         let state = self.state.into_inner().expect("wave state poisoned");
         if let Some(e) = state.fatal {
             return Err(e);
@@ -1869,5 +1875,76 @@ mod tests {
         fs.update_ft_options(|ft| ft.worker_threads = Some(3));
         assert_eq!(fs.slots().total(), 3);
         assert_eq!(wave_threads(&fs, &fs.ft_options(), 1_000), 3);
+    }
+
+    /// Records the thread of every map call, then optionally panics.
+    struct ThreadRecordingMapper {
+        seen: std::sync::Arc<Mutex<Vec<std::thread::ThreadId>>>,
+        panic: bool,
+    }
+    impl Mapper for ThreadRecordingMapper {
+        type K = u8;
+        type V = u8;
+        fn map(&self, _s: &InputSplit, _d: &str, _ctx: &mut MapContext<u8, u8>) {
+            self.seen.lock().unwrap().push(std::thread::current().id());
+            if self.panic {
+                panic!("inline mapper exploded");
+            }
+        }
+    }
+
+    fn run_recording(
+        worker_threads: usize,
+        panic: bool,
+    ) -> (Result<JobOutcome, JobError>, Vec<std::thread::ThreadId>) {
+        let mut cfg = chaos_config();
+        cfg.worker_threads = Some(worker_threads);
+        let fs = Dfs::new(cfg);
+        wordcount_input(&fs, 2000);
+        assert!(fs.block_locations("/in").unwrap().len() > 1);
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let mapper = ThreadRecordingMapper {
+            seen: std::sync::Arc::clone(&seen),
+            panic,
+        };
+        let result = JobBuilder::new(&fs, "threads")
+            .input_file("/in")
+            .unwrap()
+            .mapper(mapper)
+            .output("/o")
+            .map_only()
+            .unwrap()
+            .run();
+        let seen = seen.lock().unwrap().clone();
+        (result, seen)
+    }
+
+    #[test]
+    fn single_worker_wave_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let (result, seen) = run_recording(1, false);
+        result.unwrap();
+        assert!(!seen.is_empty());
+        assert!(seen.iter().all(|&id| id == me), "a mapper ran off-thread");
+        // With two workers every attempt runs on a spawned wave thread.
+        let (result, seen) = run_recording(2, false);
+        result.unwrap();
+        assert!(!seen.is_empty());
+        assert!(seen.iter().all(|&id| id != me), "a mapper ran inline");
+    }
+
+    #[test]
+    fn inline_wave_panic_fails_the_job_without_unwinding_the_caller() {
+        let me = std::thread::current().id();
+        let (result, seen) = run_recording(1, true);
+        match result {
+            Err(JobError::TaskFailed(msg)) => {
+                assert!(msg.contains("inline mapper exploded"), "{msg}")
+            }
+            other => panic!("expected TaskFailed, got {other:?}"),
+        }
+        // Every attempt (the retries included) ran, and panicked, here.
+        assert!(seen.len() >= 2, "{} attempts", seen.len());
+        assert!(seen.iter().all(|&id| id == me));
     }
 }

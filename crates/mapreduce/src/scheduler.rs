@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sh_dfs::Dfs;
 
@@ -192,12 +192,17 @@ impl<T> JobHandle<T> {
         self.rx.recv().unwrap_or(Err(SchedError::Shutdown))
     }
 
-    /// Non-blocking poll: `None` while the job is still queued/running.
-    pub fn try_join(&self) -> Option<Result<T, SchedError>> {
-        match self.rx.try_recv() {
+    /// Blocks for at most `timeout` (zero polls): `None` if the job is
+    /// still queued or running when the wait ends. The job's result send
+    /// wakes the waiter at once, so a caller that must also watch
+    /// something else (a client socket) loops on short waits instead of
+    /// sleeping between polls. A closed channel means the job was
+    /// discarded by cancel or shutdown.
+    pub fn join_timeout(&self, timeout: Duration) -> Option<Result<T, SchedError>> {
+        match self.rx.recv_timeout(timeout) {
             Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(SchedError::Shutdown)),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(SchedError::Shutdown)),
         }
     }
 }
@@ -536,7 +541,6 @@ fn panic_text(panic: &Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn dfs() -> Dfs {
         Dfs::new(sh_dfs::ClusterConfig::small_for_tests())
@@ -709,6 +713,54 @@ mod tests {
         blocker.join().unwrap();
         assert_eq!(after.join().unwrap(), 7);
         assert!(!sched.cancel(12345), "unknown ids are not cancellable");
+    }
+
+    #[test]
+    fn join_timeout_times_out_then_wakes_on_completion() {
+        let fs = dfs();
+        let sched = JobScheduler::new(&fs, SchedConfig::default());
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let h = sched
+            .submit("gated", move |_| {
+                gate_rx.recv().ok();
+                9u32
+            })
+            .unwrap();
+        assert!(h.join_timeout(Duration::from_millis(20)).is_none());
+        assert!(h.join_timeout(Duration::ZERO).is_none());
+        gate_tx.send(()).unwrap();
+        // The result send wakes the waiter: nowhere near the full timeout.
+        let t0 = Instant::now();
+        assert_eq!(h.join_timeout(Duration::from_secs(10)), Some(Ok(9)));
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn join_timeout_reports_shutdown_for_a_cancelled_job() {
+        let fs = dfs();
+        let cfg = SchedConfig {
+            max_in_flight: 1,
+            ..SchedConfig::default()
+        };
+        let sched = JobScheduler::new(&fs, cfg);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let blocker = sched
+            .submit("blocker", move |_| {
+                gate_rx.recv().ok();
+            })
+            .unwrap();
+        while sched.running() == 0 {
+            std::thread::yield_now();
+        }
+        let queued = sched.submit("doomed", |_| 1u8).unwrap();
+        assert!(queued.join_timeout(Duration::from_millis(5)).is_none());
+        assert!(sched.cancel(queued.id));
+        assert_eq!(
+            queued.join_timeout(Duration::from_secs(10)),
+            Some(Err(SchedError::Shutdown))
+        );
+        gate_tx.send(()).unwrap();
+        blocker.join().unwrap();
     }
 
     #[test]

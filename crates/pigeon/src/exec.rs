@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Duration;
 
 use sh_core::ops;
 use sh_core::storage;
@@ -215,9 +216,10 @@ impl StmtTicket {
         self.handle.id
     }
 
-    /// Non-blocking check: `None` while still queued or running.
-    pub fn poll(&self) -> Option<Result<StmtOutput, PigeonError>> {
-        self.handle.try_join().map(flatten_job)
+    /// Bounded wait: `None` if the statement is still queued or running
+    /// after `timeout` (zero polls); returns as soon as it finishes.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<StmtOutput, PigeonError>> {
+        self.handle.join_timeout(timeout).map(flatten_job)
     }
 
     /// Blocks until the statement finishes.
@@ -316,7 +318,7 @@ impl Pigeon {
 
     /// Admits one statement for a session: statements that run cluster
     /// jobs go through the scheduler — so admission control applies and
-    /// the caller can poll, stream, or cancel — while everything else
+    /// the caller can wait, stream, or cancel — while everything else
     /// runs inline. `QueueFull` surfaces as [`Admission::Busy`] rather
     /// than an error; it is the server's 429 path.
     pub fn admit_stmt(

@@ -16,6 +16,11 @@ use crate::protocol::{
     write_busy, write_data_frames, write_err, write_ok, BANNER, BYE, DEFAULT_CHUNK_BYTES,
 };
 
+/// Longest a connection thread blocks on a pending statement before it
+/// checks again that its client is still connected and the server is
+/// still up.
+const LIVENESS_INTERVAL: Duration = Duration::from_millis(1);
+
 /// How a [`Server`] is stood up.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -284,11 +289,12 @@ fn handle_request(
                 return Ok(true);
             }
             Ok(Admission::Pending(ticket)) => {
-                // Poll rather than block: the wait doubles as a liveness
-                // watch on the socket so an abandoned statement can be
-                // cancelled out of the queue.
+                // Block on the result, but only one liveness interval at a
+                // time: completion wakes the thread at once, and between
+                // waits the socket is checked so an abandoned statement
+                // can be cancelled out of the queue.
                 let outcome = loop {
-                    if let Some(r) = ticket.poll() {
+                    if let Some(r) = ticket.wait_timeout(LIVENESS_INTERVAL) {
                         break r;
                     }
                     if inner.stop.load(Ordering::SeqCst) || client_gone(stream) {
@@ -304,7 +310,6 @@ fn handle_request(
                         );
                         return Ok(false);
                     }
-                    thread::sleep(Duration::from_millis(1));
                 };
                 match outcome {
                     Ok(out) => {
